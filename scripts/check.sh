@@ -33,10 +33,11 @@
 #                  plus a serve round-trip of the same multicore config
 #                  whose client output must be bit-identical to a
 #                  direct, uncached thermctl_run
-#   loadgen-smoke  open-loop load smoke (ASan+UBSan build): a short
-#                  thermctl_loadgen run against a local daemon on the
-#                  event-driven core must finish with nonzero throughput
-#                  and zero transport/protocol errors
+#   loadgen-smoke  open-loop load smoke (ASan+UBSan build): short
+#                  thermctl_loadgen runs against a local daemon on the
+#                  event-driven core, over its Unix socket and over TCP,
+#                  must finish with nonzero throughput and zero
+#                  transport/protocol errors
 #   chaos-smoke    randomized chaos soak (ASan+UBSan build): serve +
 #                  retrying clients under a seeded fault plan; every
 #                  request must end in a bit-correct reply or a typed
@@ -289,14 +290,19 @@ if want loadgen-smoke; then
     trap 'if [ -n "${lg_pid}" ]; then kill "${lg_pid}" 2>/dev/null || true; fi; rm -rf "${lg_dir}"' EXIT
     lg_sock="${lg_dir}/serve.sock"
     THERMCTL_FAST=1 "${base}/asan/tools/thermctl_serve" \
-        --socket "${lg_sock}" --cache-dir "${lg_dir}/cache" \
+        --socket "${lg_sock}" --tcp 0 --cache-dir "${lg_dir}/cache" \
         --jobs 4 --workers 4 2>"${lg_dir}/serve.log" &
     lg_pid=$!
+    # The daemon prints its ephemeral TCP endpoint once it listens.
+    lg_tcp=""
     for _ in $(seq 100); do
-        [ -S "${lg_sock}" ] && break
+        lg_tcp="$(grep -o 'tcp:127\.0\.0\.1:[0-9]*' "${lg_dir}/serve.log" \
+            || true)"
+        [ -S "${lg_sock}" ] && [ -n "${lg_tcp}" ] && break
         sleep 0.1
     done
-    [ -S "${lg_sock}" ] || { cat "${lg_dir}/serve.log"; exit 1; }
+    [ -S "${lg_sock}" ] && [ -n "${lg_tcp}" ] \
+        || { cat "${lg_dir}/serve.log"; exit 1; }
 
     # Exit 0 already asserts zero transport/protocol errors and zero
     # refusals; the JSON probe double-checks real throughput happened.
@@ -310,6 +316,19 @@ if want loadgen-smoke; then
         "${lg_dir}/BENCH_serve.json")"
     awk -v t="${throughput:-0}" 'BEGIN { exit (t > 0) ? 0 : 1 }' || {
         echo "loadgen smoke: throughput is zero" >&2
+        cat "${lg_dir}/serve.log"
+        exit 1
+    }
+
+    # The same open loop over TCP, through the shared endpoint dial.
+    THERMCTL_FAST=1 "${base}/asan/tools/thermctl_loadgen" \
+        --connect "${lg_tcp}" --rate 30 --conns 2 --duration 2 \
+        --seed 43 --json "${lg_dir}/BENCH_serve_tcp.json" \
+        | tee "${lg_dir}/loadgen_tcp.out"
+    throughput="$(awk -F': ' '/"throughput_rps"/ {print $2+0}' \
+        "${lg_dir}/BENCH_serve_tcp.json")"
+    awk -v t="${throughput:-0}" 'BEGIN { exit (t > 0) ? 0 : 1 }' || {
+        echo "loadgen smoke: TCP throughput is zero" >&2
         cat "${lg_dir}/serve.log"
         exit 1
     }

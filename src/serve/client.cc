@@ -1,6 +1,5 @@
 #include "serve/client.hh"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
@@ -11,6 +10,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 
@@ -23,15 +23,80 @@ namespace
 {
 
 /**
- * Non-blocking connect bounded by `timeout_ms`; on success the socket
- * is back in blocking mode. A Unix listener with a full backlog makes
+ * The endpoint parser: fill `addr` for "unix:PATH", "tcp:HOST:PORT" or
+ * a bare Unix socket path. Malformed endpoints are reported in `error`,
+ * never thrown — they arrive from command lines.
+ */
+bool
+resolveEndpoint(const std::string &endpoint, sockaddr_storage &addr,
+                socklen_t &len, std::string &error)
+{
+    if (endpoint.rfind("tcp:", 0) != 0) {
+        const std::string path = endpoint.rfind("unix:", 0) == 0
+                                     ? endpoint.substr(5)
+                                     : endpoint;
+        sockaddr_un un{};
+        un.sun_family = AF_UNIX;
+        if (path.size() >= sizeof(un.sun_path)) {
+            error = "socket path too long: " + path;
+            return false;
+        }
+        std::memcpy(un.sun_path, path.data(), path.size());
+        std::memcpy(&addr, &un, sizeof(un));
+        len = sizeof(un);
+        return true;
+    }
+
+    const std::string rest = endpoint.substr(4);
+    const std::size_t colon = rest.rfind(':');
+    if (colon == std::string::npos) {
+        error = "tcp endpoint needs HOST:PORT: '" + endpoint + "'";
+        return false;
+    }
+    const std::string host = rest.substr(0, colon);
+    const char *first = rest.data() + colon + 1;
+    const char *last = rest.data() + rest.size();
+    unsigned port = 0;
+    const auto [end, ec] = std::from_chars(first, last, port);
+    if (ec != std::errc() || end != last || port == 0 || port > 65535) {
+        error = "bad tcp port in '" + endpoint + "'";
+        return false;
+    }
+    addrinfo hints{};
+    hints.ai_family = AF_INET;
+    hints.ai_socktype = SOCK_STREAM;
+    addrinfo *res = nullptr;
+    if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
+                      &res)
+            != 0
+        || !res) {
+        error = "cannot resolve " + host + ":" + std::to_string(port);
+        return false;
+    }
+    std::memcpy(&addr, res->ai_addr, res->ai_addrlen);
+    len = res->ai_addrlen;
+    ::freeaddrinfo(res);
+    return true;
+}
+
+/**
+ * Connect `fd` to `addr`. With `timeout_ms` 0 this is a plain blocking
+ * connect. Otherwise the connect runs non-blocking and is abandoned
+ * after `timeout_ms`; a Unix listener with a full backlog makes
  * ::connect fail with EAGAIN straight away — that is reported as a
- * failure, not waited out, so a wedged worker costs bounded time.
+ * failure, not waited out, so a wedged worker costs bounded time. On
+ * success the socket is in blocking mode.
  */
 bool
 connectBounded(int fd, const sockaddr *addr, socklen_t len,
                unsigned timeout_ms, std::string &error)
 {
+    if (timeout_ms == 0) {
+        if (::connect(fd, addr, len) == 0)
+            return true;
+        error = std::strerror(errno);
+        return false;
+    }
     const int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
         error = std::string("fcntl(O_NONBLOCK): ") + std::strerror(errno);
@@ -39,7 +104,7 @@ connectBounded(int fd, const sockaddr *addr, socklen_t len,
     }
     if (::connect(fd, addr, len) != 0) {
         if (errno != EINPROGRESS) {
-            error = std::string("connect: ") + std::strerror(errno);
+            error = std::strerror(errno);
             return false;
         }
         const auto deadline = std::chrono::steady_clock::now()
@@ -49,8 +114,8 @@ connectBounded(int fd, const sockaddr *addr, socklen_t len,
                 std::chrono::milliseconds>(
                 deadline - std::chrono::steady_clock::now());
             if (left.count() <= 0) {
-                error = "connect timed out after "
-                        + std::to_string(timeout_ms) + " ms";
+                error = "timed out after " + std::to_string(timeout_ms)
+                        + " ms";
                 return false;
             }
             pollfd p{};
@@ -71,8 +136,7 @@ connectBounded(int fd, const sockaddr *addr, socklen_t len,
         if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &so_len)
                 != 0
             || so_error != 0) {
-            error = std::string("connect: ")
-                    + std::strerror(so_error ? so_error : errno);
+            error = std::strerror(so_error ? so_error : errno);
             return false;
         }
     }
@@ -83,163 +147,66 @@ connectBounded(int fd, const sockaddr *addr, socklen_t len,
     return true;
 }
 
-} // namespace
+/** The message type each reply struct arrives as (none for others). */
+template <class Reply> constexpr MsgType kReplyType = MsgType::ErrorReply;
+template <> constexpr MsgType kReplyType<RunReply> = MsgType::RunReply;
+template <> constexpr MsgType kReplyType<SweepReply> = MsgType::SweepReply;
+template <>
+constexpr MsgType kReplyType<CacheQueryReply> = MsgType::CacheQueryReply;
+template <> constexpr MsgType kReplyType<StatsReply> = MsgType::StatsReply;
+template <> constexpr MsgType kReplyType<PingReply> = MsgType::PingReply;
+template <> constexpr MsgType kReplyType<DrainReply> = MsgType::DrainReply;
 
-ServeClient
-ServeClient::connectUnix(const std::string &path)
+/** A whole-request failure in the data plane's reply shape. */
+PointReply
+failedPoint(ServeError code, std::string message)
 {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        fatal("client: socket(AF_UNIX): ", std::strerror(errno));
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path)) {
-        ::close(fd);
-        fatal("client: socket path too long: ", path);
-    }
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof(addr))
-        != 0) {
-        const int err = errno;
-        ::close(fd);
-        fatal("client: cannot connect to ", path, ": ",
-              std::strerror(err), " (is thermctl_serve running?)");
-    }
-    return ServeClient(fd);
+    PointReply p;
+    p.error = code;
+    p.message = std::move(message);
+    return p;
 }
 
-ServeClient
-ServeClient::connectTcp(const std::string &host, int port)
+} // namespace
+
+int
+dialEndpoint(const std::string &endpoint, unsigned timeout_ms,
+             std::string &error)
 {
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo *res = nullptr;
-    const std::string service = std::to_string(port);
-    if (::getaddrinfo(host.c_str(), service.c_str(), &hints, &res) != 0
-        || !res) {
-        fatal("client: cannot resolve ", host, ":", port);
-    }
-    const int fd = ::socket(res->ai_family, res->ai_socktype,
-                            res->ai_protocol);
+    sockaddr_storage addr{};
+    socklen_t len = 0;
+    if (!resolveEndpoint(endpoint, addr, len, error))
+        return -1;
+    const int fd = ::socket(addr.ss_family, SOCK_STREAM, 0);
     if (fd < 0) {
-        ::freeaddrinfo(res);
-        fatal("client: socket(AF_INET): ", std::strerror(errno));
+        error = std::string("socket: ") + std::strerror(errno);
+        return -1;
     }
-    const int rc = ::connect(fd, res->ai_addr, res->ai_addrlen);
-    const int err = errno;
-    ::freeaddrinfo(res);
-    if (rc != 0) {
+    std::string cause;
+    if (!connectBounded(fd, reinterpret_cast<const sockaddr *>(&addr), len,
+                        timeout_ms, cause)) {
         ::close(fd);
-        fatal("client: cannot connect to ", host, ":", port, ": ",
-              std::strerror(err), " (is thermctl_serve running?)");
+        error = "cannot connect to " + endpoint + ": " + cause;
+        return -1;
     }
-    return ServeClient(fd);
+    return fd;
 }
 
 ServeClient
 ServeClient::connect(const std::string &endpoint)
 {
-    if (endpoint.rfind("unix:", 0) == 0)
-        return connectUnix(endpoint.substr(5));
-    if (endpoint.rfind("tcp:", 0) == 0) {
-        const std::string rest = endpoint.substr(4);
-        const std::size_t colon = rest.rfind(':');
-        if (colon == std::string::npos)
-            fatal("client: tcp endpoint needs HOST:PORT, got '",
-                  endpoint, "'");
-        const std::string host = rest.substr(0, colon);
-        int port = 0;
-        try {
-            port = std::stoi(rest.substr(colon + 1));
-        } catch (const std::exception &) {
-            fatal("client: bad tcp port in '", endpoint, "'");
-        }
-        return connectTcp(host, port);
-    }
-    return connectUnix(endpoint);
-}
-
-ServeClient
-ServeClient::tryConnect(const std::string &endpoint, std::string &error)
-{
-    try {
-        return connect(endpoint);
-    } catch (const FatalError &e) {
-        error = e.what();
-        return ServeClient();
-    }
+    std::string error;
+    ServeClient client = tryConnect(endpoint, 0, error);
+    if (!client.connected())
+        fatal("client: ", error);
+    return client;
 }
 
 ServeClient
 ServeClient::tryConnect(const std::string &endpoint, unsigned timeout_ms,
                         std::string &error)
 {
-    if (endpoint.rfind("tcp:", 0) == 0) {
-        const std::string rest = endpoint.substr(4);
-        const std::size_t colon = rest.rfind(':');
-        if (colon == std::string::npos) {
-            error = "tcp endpoint needs HOST:PORT: '" + endpoint + "'";
-            return ServeClient();
-        }
-        const std::string host = rest.substr(0, colon);
-        int port = 0;
-        try {
-            port = std::stoi(rest.substr(colon + 1));
-        } catch (const std::exception &) {
-            error = "bad tcp port in '" + endpoint + "'";
-            return ServeClient();
-        }
-        addrinfo hints{};
-        hints.ai_family = AF_INET;
-        hints.ai_socktype = SOCK_STREAM;
-        addrinfo *res = nullptr;
-        if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(),
-                          &hints, &res)
-                != 0
-            || !res) {
-            error = "cannot resolve " + host + ":" + std::to_string(port);
-            return ServeClient();
-        }
-        const int fd = ::socket(res->ai_family, res->ai_socktype,
-                                res->ai_protocol);
-        if (fd < 0) {
-            ::freeaddrinfo(res);
-            error = std::string("socket: ") + std::strerror(errno);
-            return ServeClient();
-        }
-        const bool ok = connectBounded(fd, res->ai_addr, res->ai_addrlen,
-                                       timeout_ms, error);
-        ::freeaddrinfo(res);
-        if (!ok) {
-            ::close(fd);
-            return ServeClient();
-        }
-        return ServeClient(fd);
-    }
-
-    const std::string path = endpoint.rfind("unix:", 0) == 0
-                                 ? endpoint.substr(5)
-                                 : endpoint;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path)) {
-        error = "socket path too long: " + path;
-        return ServeClient();
-    }
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        error = std::string("socket: ") + std::strerror(errno);
-        return ServeClient();
-    }
-    if (!connectBounded(fd, reinterpret_cast<const sockaddr *>(&addr),
-                        sizeof(addr), timeout_ms, error)) {
-        ::close(fd);
-        return ServeClient();
-    }
-    return ServeClient(fd);
+    return ServeClient(dialEndpoint(endpoint, timeout_ms, error));
 }
 
 ServeClient::~ServeClient()
@@ -279,191 +246,129 @@ ServeClient::disconnect()
     }
 }
 
-bool
-ServeClient::tryRoundTrip(MsgType type, std::string_view payload,
-                          MsgType &reply_type, std::string &reply,
-                          std::string &error)
+template <class Reply>
+ServeError
+ServeClient::call(MsgType type, std::string_view payload, Reply &out,
+                  std::string &error)
 {
+    static_assert(kReplyType<Reply> != MsgType::ErrorReply,
+                  "call<>() needs the reply's message type");
     if (fd_ < 0) {
         error = "not connected";
-        return false;
+        return ServeError::Transport;
     }
-    if (!writeFrame(fd_, type, payload)) {
-        error = "send failed (server gone?)";
-        disconnect();
-        return false;
-    }
-    FrameStatus fs = FrameStatus::Ok;
-    switch (readFrame(fd_, reply_type, reply, &fs)) {
-      case ReadStatus::Ok:
-        return true;
-      case ReadStatus::Eof:
-        error = "server closed the connection before replying";
-        disconnect();
-        return false;
-      case ReadStatus::Transport:
-        error = "transport error reading reply";
-        disconnect();
-        return false;
-      case ReadStatus::BadFrame:
-        // Not a transport blip: the peer speaks a different protocol.
-        // Retrying cannot help, so this stays fatal.
-        disconnect();
-        fatal("client: malformed reply frame (",
-              fs == FrameStatus::BadVersion ? "wire version mismatch"
-                                            : "bad header",
-              ")");
-    }
-    error = "unreachable read status";
-    return false;
-}
-
-std::pair<MsgType, std::string>
-ServeClient::roundTrip(MsgType type, std::string_view payload)
-{
-    MsgType reply_type;
+    MsgType reply_type = MsgType::ErrorReply;
     std::string reply;
+    FrameStatus fs = FrameStatus::Ok;
+    const char *broken = nullptr;
+    if (!writeFrame(fd_, type, payload)) {
+        broken = "send failed (server gone?)";
+    } else {
+        switch (readFrame(fd_, reply_type, reply, &fs)) {
+          case ReadStatus::Ok:
+            break;
+          case ReadStatus::Eof:
+            broken = "server closed the connection before replying";
+            break;
+          case ReadStatus::Transport:
+            broken = "transport error reading reply";
+            break;
+          case ReadStatus::BadFrame:
+            // Not a transport blip: the peer speaks a different
+            // protocol. Retrying cannot help, so this stays fatal.
+            disconnect();
+            fatal("client: malformed reply frame (",
+                  fs == FrameStatus::BadVersion ? "wire version mismatch"
+                                                : "bad header",
+                  ")");
+        }
+    }
+    if (broken) {
+        error = broken;
+        disconnect();
+        return ServeError::Transport;
+    }
+
+    if (reply_type == MsgType::ErrorReply) {
+        // An ErrorReply claiming no error is as undecodable as garbage.
+        ErrorReply err;
+        if (ErrorReply::decode(reply, err) && err.code != ServeError::None) {
+            error = std::move(err.message);
+            return err.code;
+        }
+    } else if (reply_type != kReplyType<Reply>) {
+        fatal("client: unexpected reply type ", unsigned(reply_type),
+              " to request type ", unsigned(type));
+    } else if (Reply::decode(reply, out)) {
+        return ServeError::None;
+    }
+    fatal("client: undecodable reply payload (message type ",
+          unsigned(reply_type), ")");
+}
+
+template <class Reply>
+Reply
+ServeClient::callOrThrow(MsgType type, std::string_view payload)
+{
+    Reply reply;
     std::string error;
-    if (!tryRoundTrip(type, payload, reply_type, reply, error))
-        fatal("client: ", error);
-    return {reply_type, std::move(reply)};
+    const ServeError code = call(type, payload, reply, error);
+    if (code != ServeError::None)
+        fatal("client: ", serveErrorName(code), ": ", error);
+    return reply;
 }
-
-namespace
-{
-
-/** Map an ErrorReply frame into a typed PointReply failure. */
-PointReply
-errorToPoint(const std::string &payload)
-{
-    ErrorReply err;
-    if (!ErrorReply::decode(payload, err))
-        fatal("client: undecodable ErrorReply from server");
-    PointReply p;
-    p.error = err.code;
-    p.message = err.message;
-    return p;
-}
-
-} // namespace
 
 PointReply
 ServeClient::run(const RunRequest &req)
 {
-    MsgType type;
-    std::string payload;
-    std::string error;
-    if (!tryRoundTrip(MsgType::RunRequest, req.encode(), type, payload,
-                      error)) {
-        PointReply p;
-        p.error = ServeError::Transport;
-        p.message = error;
-        return p;
-    }
-    if (type == MsgType::ErrorReply)
-        return errorToPoint(payload);
-    if (type != MsgType::RunReply)
-        fatal("client: unexpected reply type to RunRequest");
     RunReply reply;
-    if (!RunReply::decode(payload, reply))
-        fatal("client: undecodable RunReply payload");
-    return reply.point;
+    std::string error;
+    const ServeError code =
+        call(MsgType::RunRequest, req.encode(), reply, error);
+    if (code != ServeError::None)
+        return failedPoint(code, std::move(error));
+    return std::move(reply.point);
 }
 
 SweepReply
 ServeClient::sweep(const SweepRequest &req)
 {
-    MsgType type;
-    std::string payload;
-    std::string error;
-    if (!tryRoundTrip(MsgType::SweepRequest, req.encode(), type, payload,
-                      error)) {
-        SweepReply reply;
-        PointReply p;
-        p.error = ServeError::Transport;
-        p.message = error;
-        reply.points.push_back(std::move(p));
-        return reply;
-    }
-    if (type == MsgType::ErrorReply) {
-        SweepReply reply;
-        reply.points.push_back(errorToPoint(payload));
-        return reply;
-    }
-    if (type != MsgType::SweepReply)
-        fatal("client: unexpected reply type to SweepRequest");
     SweepReply reply;
-    if (!SweepReply::decode(payload, reply))
-        fatal("client: undecodable SweepReply payload");
+    std::string error;
+    const ServeError code =
+        call(MsgType::SweepRequest, req.encode(), reply, error);
+    if (code != ServeError::None)
+        reply.points.assign(1, failedPoint(code, std::move(error)));
     return reply;
 }
 
 CacheQueryReply
 ServeClient::cacheQuery(const CacheQueryRequest &req)
 {
-    auto [type, payload] =
-        roundTrip(MsgType::CacheQueryRequest, req.encode());
-    if (type == MsgType::ErrorReply) {
-        ErrorReply err;
-        if (!ErrorReply::decode(payload, err))
-            fatal("client: undecodable ErrorReply from server");
-        fatal("client: cache query refused: ", err.message);
-    }
-    if (type != MsgType::CacheQueryReply)
-        fatal("client: unexpected reply type to CacheQueryRequest");
-    CacheQueryReply reply;
-    if (!CacheQueryReply::decode(payload, reply))
-        fatal("client: undecodable CacheQueryReply payload");
-    return reply;
+    return callOrThrow<CacheQueryReply>(MsgType::CacheQueryRequest,
+                                        req.encode());
 }
 
 StatsReply
 ServeClient::stats()
 {
-    auto [type, payload] =
-        roundTrip(MsgType::StatsRequest, StatsRequest{}.encode());
-    if (type != MsgType::StatsReply)
-        fatal("client: unexpected reply type to StatsRequest");
-    StatsReply reply;
-    if (!StatsReply::decode(payload, reply))
-        fatal("client: undecodable StatsReply payload");
-    return reply;
+    return callOrThrow<StatsReply>(MsgType::StatsRequest,
+                                   StatsRequest{}.encode());
 }
 
 bool
 ServeClient::ping(PingReply &out, std::string &error)
 {
-    MsgType type;
-    std::string payload;
-    if (!tryRoundTrip(MsgType::PingRequest, PingRequest{}.encode(), type,
-                      payload, error)) {
-        return false;
-    }
-    if (type == MsgType::ErrorReply) {
-        ErrorReply err;
-        if (!ErrorReply::decode(payload, err))
-            fatal("client: undecodable ErrorReply from server");
-        error = err.message;
-        return false;
-    }
-    if (type != MsgType::PingReply)
-        fatal("client: unexpected reply type to PingRequest");
-    if (!PingReply::decode(payload, out))
-        fatal("client: undecodable PingReply payload");
-    return true;
+    return call(MsgType::PingRequest, PingRequest{}.encode(), out, error)
+           == ServeError::None;
 }
 
 bool
 ServeClient::drain()
 {
-    auto [type, payload] =
-        roundTrip(MsgType::DrainRequest, DrainRequest{}.encode());
-    if (type != MsgType::DrainReply)
-        fatal("client: unexpected reply type to DrainRequest");
-    DrainReply reply;
-    if (!DrainReply::decode(payload, reply))
-        fatal("client: undecodable DrainReply payload");
-    return reply.was_draining;
+    return callOrThrow<DrainReply>(MsgType::DrainRequest,
+                                   DrainRequest{}.encode())
+        .was_draining;
 }
 
 } // namespace thermctl::serve

@@ -4,20 +4,27 @@
  *
  * A ServeClient owns one connected socket and issues one request at a
  * time (the protocol is strictly request/reply per connection; open
- * more clients for concurrency). Server-side failures come back as
- * typed ServeError codes inside the replies; transport failures on the
- * data plane (run/sweep) come back the same way, as
+ * more clients for concurrency). Every request goes through one typed
+ * round-trip: write the frame, read the reply frame, map an ErrorReply
+ * to its ServeError code, check the reply type, decode. Server-side
+ * failures come back as typed ServeError codes; transport failures on
+ * the data plane (run/sweep/ping) come back the same way, as
  * ServeError::Transport, with the socket closed — callers distinguish
  * "the server refused this request" (Overloaded, Draining, ...) from
- * "the connection broke" and can reconnect (see serve/retry.hh for the
- * retrying wrapper). Control-plane calls (cacheQuery/stats/drain) and
- * protocol violations still throw FatalError.
+ * "the connection broke" and can reconnect (serve/retry.hh retries
+ * them). Control-plane calls (cacheQuery/stats/drain) and protocol
+ * violations throw FatalError.
+ *
+ * dialEndpoint() is the one endpoint parser and dial; everything that
+ * opens a connection to a server (this client, the load generator)
+ * goes through it.
  */
 
 #ifndef THERMCTL_SERVE_CLIENT_HH
 #define THERMCTL_SERVE_CLIENT_HH
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "serve/protocol.hh"
@@ -25,34 +32,29 @@
 namespace thermctl::serve
 {
 
+/**
+ * Parse `endpoint` — "unix:PATH", "tcp:HOST:PORT", or a bare path
+ * (treated as a Unix socket) — and connect a blocking stream socket to
+ * it. `timeout_ms` bounds the connect phase (0 = no bound); a Unix
+ * listener whose backlog is full fails immediately under a bound
+ * instead of blocking. Never throws.
+ * @return the connected fd, or -1 with the cause in `error`.
+ */
+[[nodiscard]] int dialEndpoint(const std::string &endpoint,
+                               unsigned timeout_ms, std::string &error);
+
 class ServeClient
 {
   public:
-    /** Connect to a Unix-domain server socket. Fatal on failure. */
-    static ServeClient connectUnix(const std::string &path);
-
-    /** Connect to a TCP server on loopback/hostname. Fatal on failure. */
-    static ServeClient connectTcp(const std::string &host, int port);
-
-    /**
-     * Endpoint syntax: "unix:PATH", "tcp:HOST:PORT", or a bare path
-     * (treated as a Unix socket).
-     */
+    /** tryConnect with no connect bound; fatal on failure. */
     static ServeClient connect(const std::string &endpoint);
 
     /**
-     * Non-fatal connect: on failure returns a disconnected client and
-     * fills `error`. Reconnection paths use this so a flapping server
-     * is a retryable condition, not process death.
-     */
-    static ServeClient tryConnect(const std::string &endpoint,
-                                  std::string &error);
-
-    /**
-     * tryConnect with a bound on the connect phase itself: the socket
-     * is connected non-blocking and abandoned after `timeout_ms`. A
-     * Unix listener whose backlog is full fails immediately instead of
-     * blocking, so a flapping or wedged worker costs bounded time.
+     * Non-fatal connect through dialEndpoint: on failure returns a
+     * disconnected client and fills `error`. Reconnection paths use
+     * this so a flapping server is a retryable condition, not process
+     * death, and a wedged worker costs at most `timeout_ms`
+     * (0 = no bound).
      */
     static ServeClient tryConnect(const std::string &endpoint,
                                   unsigned timeout_ms, std::string &error);
@@ -90,7 +92,8 @@ class ServeClient
 
     /**
      * Execute a benchmarks x policies grid; replies in grid order.
-     * A broken connection yields a single Transport point.
+     * A refused request or a broken connection yields a single typed
+     * point.
      */
     [[nodiscard]] SweepReply sweep(const SweepRequest &req);
 
@@ -116,19 +119,21 @@ class ServeClient
   private:
     explicit ServeClient(int fd) : fd_(fd) {}
 
-    /** One request/reply exchange; throws FatalError on transport. */
-    std::pair<MsgType, std::string> roundTrip(MsgType type,
-                                              std::string_view payload);
-
     /**
-     * One request/reply exchange that reports transport failures by
-     * returning false (with a human-readable cause in `error`) and
-     * closing the socket, instead of throwing. Framing violations —
-     * a server speaking another protocol — still throw.
+     * One typed request/reply exchange. On success `out` holds the
+     * decoded reply and the result is ServeError::None. A server
+     * ErrorReply returns its code with its message in `error`; a broken
+     * connection closes the socket and returns Transport with the cause
+     * in `error`. Protocol violations — a malformed frame, a reply of
+     * the wrong type, an undecodable payload — throw FatalError.
      */
-    [[nodiscard]] bool tryRoundTrip(MsgType type, std::string_view payload,
-                      MsgType &reply_type, std::string &reply,
-                      std::string &error);
+    template <class Reply>
+    [[nodiscard]] ServeError call(MsgType type, std::string_view payload,
+                                  Reply &out, std::string &error);
+
+    /** call() for the control plane: any failure throws FatalError. */
+    template <class Reply>
+    Reply callOrThrow(MsgType type, std::string_view payload);
 
     /** Close the socket (broken connections are not reusable). */
     void disconnect();

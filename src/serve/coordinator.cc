@@ -337,7 +337,9 @@ class Flock
     /**
      * End-of-grid speculation: a point still in flight on one *other*
      * worker, not yet shadowed. At most one shadow per point keeps the
-     * worst-case duplicate work at 2x on the final stragglers only.
+     * worst-case duplicate work at 2x on the final stragglers only. A
+     * shadow is a dispatch attempt, so a point whose budget is spent
+     * is not shadowed.
      */
     bool
     findShadow(std::size_t wi, std::size_t &pi) THERMCTL_REQUIRES(mutex_)
@@ -345,7 +347,8 @@ class Flock
         for (std::size_t i = 0; i < points_.size(); ++i) {
             PointState &p = points_[i];
             if (p.phase == Phase::InFlight && !p.shadowed
-                && p.inflight == 1 && p.owner != wi) {
+                && p.inflight == 1 && p.owner != wi
+                && p.attempts < opts_.max_point_attempts) {
                 pi = i;
                 return true;
             }

@@ -78,7 +78,7 @@ struct CoordinatorOptions
      */
     unsigned lease_ms = 20000;
 
-    /** Bound on each connect attempt to a worker. */
+    /** Bound on each connect attempt to a worker; 0 = no bound. */
     unsigned connect_timeout_ms = 1000;
 
     /** Health probe cadence (Ping frames). */

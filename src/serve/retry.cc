@@ -53,51 +53,22 @@ RetryingClient::RetryingClient(std::string endpoint,
 {
 }
 
-bool
-RetryingClient::retryable(ServeError error)
-{
-    return error == ServeError::Transport
-           || error == ServeError::Overloaded;
-}
-
 namespace
 {
+
+using Clock = std::chrono::steady_clock;
 
 /** "No deadline" sentinel for a remaining-budget value. */
 constexpr std::uint64_t kNoBudget =
     std::numeric_limits<std::uint64_t>::max();
 
-} // namespace
-
+/** @return true when `error` is worth another attempt. */
 bool
-RetryingClient::ensureConnected(std::uint64_t remaining_ms,
-                                std::string &error)
+retryable(ServeError error)
 {
-    if (client_.connected())
-        return true;
-    if (remaining_ms == 0) {
-        // The budget is already gone: dialing now could only stretch
-        // the request past its deadline, so fail fast instead.
-        error = "deadline exhausted before reconnect";
-        return false;
-    }
-    std::uint64_t timeout = config_.connect_timeout_ms;
-    if (remaining_ms != kNoBudget)
-        timeout = timeout == 0
-                      ? remaining_ms
-                      : std::min<std::uint64_t>(timeout, remaining_ms);
-    if (timeout == 0)
-        client_ = ServeClient::tryConnect(endpoint_, error);
-    else
-        client_ = ServeClient::tryConnect(
-            endpoint_, static_cast<unsigned>(timeout), error);
-    return client_.connected();
+    return error == ServeError::Transport
+           || error == ServeError::Overloaded;
 }
-
-namespace
-{
-
-using Clock = std::chrono::steady_clock;
 
 std::uint64_t
 elapsedMs(Clock::time_point since)
@@ -121,10 +92,63 @@ budgetExhausted(const PointReply &last, std::uint32_t attempts)
     return p;
 }
 
+/**
+ * The whole-request failure a reply carries, or nullptr when it was
+ * delivered: a run reply is its own point; a sweep counts only when the
+ * whole reply is one point.
+ */
+const PointReply *
+wholeFailure(const PointReply &reply)
+{
+    return &reply;
+}
+
+const PointReply *
+wholeFailure(const SweepReply &reply)
+{
+    return reply.points.size() == 1 ? &reply.points[0] : nullptr;
+}
+
+/** Replace `reply` with the single failure point `p`. */
+void
+setFailure(PointReply &reply, PointReply p)
+{
+    reply = std::move(p);
+}
+
+void
+setFailure(SweepReply &reply, PointReply p)
+{
+    reply.points.assign(1, std::move(p));
+}
+
 } // namespace
 
-PointReply
-RetryingClient::run(const RunRequest &req)
+bool
+RetryingClient::ensureConnected(std::uint64_t remaining_ms,
+                                std::string &error)
+{
+    if (client_.connected())
+        return true;
+    if (remaining_ms == 0) {
+        // The budget is already gone: dialing now could only stretch
+        // the request past its deadline, so fail fast instead.
+        error = "deadline exhausted before reconnect";
+        return false;
+    }
+    std::uint64_t timeout = config_.connect_timeout_ms;
+    if (remaining_ms != kNoBudget)
+        timeout = timeout == 0
+                      ? remaining_ms
+                      : std::min<std::uint64_t>(timeout, remaining_ms);
+    client_ = ServeClient::tryConnect(
+        endpoint_, static_cast<unsigned>(timeout), error);
+    return client_.connected();
+}
+
+template <class Reply, class Send>
+Reply
+RetryingClient::withRetries(Send send)
 {
     BackoffConfig config = config_;
     config.seed = Rng(config_.seed).fork(calls_++).next();
@@ -137,27 +161,31 @@ RetryingClient::run(const RunRequest &req)
         return e >= config.deadline_ms ? 0 : config.deadline_ms - e;
     };
 
-    PointReply last;
+    Reply last;
     for (;;) {
         attempts_total_++;
         std::string error;
         if (ensureConnected(remaining(), error)) {
-            last = client_.run(req);
+            last = send(client_);
         } else {
-            last.error = ServeError::Transport;
-            last.message = error;
+            PointReply p;
+            p.error = ServeError::Transport;
+            p.message = error;
+            setFailure(last, std::move(p));
         }
-        if (!retryable(last.error))
+        const PointReply *failed = wholeFailure(last);
+        if (!failed || !retryable(failed->error))
             return last;
 
-        const auto d =
-            policy.next(elapsedMs(started), last.retry_after_ms);
+        const auto d = policy.next(elapsedMs(started),
+                                   failed->retry_after_ms);
         if (!d.retry) {
             // With retries disabled (max_attempts=1) behave exactly
             // like the plain client: surface the typed error as-is.
-            return policy.attempts() <= 1
-                       ? last
-                       : budgetExhausted(last, policy.attempts());
+            if (policy.attempts() > 1)
+                setFailure(last, budgetExhausted(*failed,
+                                                 policy.attempts()));
+            return last;
         }
         if (d.sleep_ms > 0) {
             std::this_thread::sleep_for(
@@ -166,56 +194,44 @@ RetryingClient::run(const RunRequest &req)
     }
 }
 
+PointReply
+RetryingClient::run(const RunRequest &req)
+{
+    return withRetries<PointReply>(
+        [&](ServeClient &client) { return client.run(req); });
+}
+
 SweepReply
 RetryingClient::sweep(const SweepRequest &req)
 {
-    BackoffConfig config = config_;
-    config.seed = Rng(config_.seed).fork(calls_++).next();
-    BackoffPolicy policy(config);
-    const auto started = Clock::now();
-    auto remaining = [&]() -> std::uint64_t {
-        if (config.deadline_ms == 0)
-            return kNoBudget;
-        const std::uint64_t e = elapsedMs(started);
-        return e >= config.deadline_ms ? 0 : config.deadline_ms - e;
-    };
+    return withRetries<SweepReply>(
+        [&](ServeClient &client) { return client.sweep(req); });
+}
 
-    SweepReply last;
-    for (;;) {
-        attempts_total_++;
-        std::string error;
-        if (ensureConnected(remaining(), error)) {
-            last = client_.sweep(req);
-        } else {
-            last.points.clear();
-            PointReply p;
-            p.error = ServeError::Transport;
-            p.message = error;
-            last.points.push_back(std::move(p));
-        }
-        // A sweep is retried as a unit only when the whole reply is one
-        // typed transport/overload failure; per-point errors inside a
-        // delivered grid are the caller's to inspect.
-        const bool whole_failure =
-            last.points.size() == 1 && retryable(last.points[0].error);
-        if (!whole_failure)
-            return last;
+ServeClient &
+RetryingClient::control()
+{
+    if (!client_.connected())
+        client_ = ServeClient::connect(endpoint_);
+    return client_;
+}
 
-        const auto d = policy.next(elapsedMs(started),
-                                   last.points[0].retry_after_ms);
-        if (!d.retry) {
-            if (policy.attempts() <= 1)
-                return last;
-            SweepReply out;
-            out.points.push_back(
-                budgetExhausted(last.points[0], policy.attempts()));
-            return out;
-        }
-        if (d.sleep_ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(d.sleep_ms));
-        }
-    }
+CacheQueryReply
+RetryingClient::cacheQuery(const CacheQueryRequest &req)
+{
+    return control().cacheQuery(req);
+}
+
+StatsReply
+RetryingClient::stats()
+{
+    return control().stats();
+}
+
+bool
+RetryingClient::drain()
+{
+    return control().drain();
 }
 
 } // namespace thermctl::serve

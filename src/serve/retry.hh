@@ -1,7 +1,8 @@
 /**
  * @file
- * Client-side resilience: bounded retries with exponential backoff,
- * decorrelated jitter, and an end-to-end deadline budget.
+ * The serve client: RetryingClient, with bounded retries under
+ * exponential backoff, decorrelated jitter, and an end-to-end deadline
+ * budget on the data plane, and strict control-plane calls.
  *
  * Retrying a simulation request is safe because requests are
  * *idempotent by construction*: a request's identity is its sweep
@@ -99,10 +100,16 @@ class BackoffPolicy
 };
 
 /**
- * ServeClient wrapper that reconnects and retries idempotent requests
- * (run/sweep) per BackoffPolicy. Each call gets its own deterministic
- * jitter stream (config seed forked by call index), so a process's
- * retry timing replays from one seed.
+ * The serve client callers program against. The data plane (run/sweep)
+ * reconnects and retries idempotent requests per BackoffPolicy; with
+ * max_attempts = 1 that is exactly one attempt, the plain ServeClient.
+ * Each call gets its own deterministic jitter stream (config seed
+ * forked by call index), so a process's retry timing replays from one
+ * seed. The control plane (cacheQuery/stats/drain) is strict: never
+ * retried, and a connect or transport failure throws FatalError
+ * (draining a server twice because the first reply got lost is not
+ * idempotent in effect, even if the frame is). Connections are
+ * established lazily, on the first call.
  */
 class RetryingClient
 {
@@ -116,15 +123,35 @@ class RetryingClient
      */
     PointReply run(const RunRequest &req);
 
-    /** sweep() with retries (the whole grid is retried as a unit). */
+    /**
+     * sweep() with retries. The grid is retried as a unit, and only
+     * when the whole reply is one retryable point; per-point errors
+     * inside a delivered grid are the caller's to inspect.
+     */
     SweepReply sweep(const SweepRequest &req);
 
-    /** Total attempts across all calls (telemetry). */
+    /** Probe the server's result cache without simulating. */
+    CacheQueryReply cacheQuery(const CacheQueryRequest &req);
+
+    /** Server counters snapshot. */
+    StatsReply stats();
+
+    /**
+     * Request a graceful drain.
+     * @return true when the server was already draining.
+     */
+    bool drain();
+
+    /** Data-plane attempts across all calls (telemetry). */
     std::uint64_t attemptsTotal() const { return attempts_total_; }
 
   private:
-    /** @return true when `error` is worth another attempt. */
-    static bool retryable(ServeError error);
+    /**
+     * The retry loop: call `send` on a connected client until its reply
+     * is not one retryable failure, the attempts run out, or the
+     * deadline budget does.
+     */
+    template <class Reply, class Send> Reply withRetries(Send send);
 
     /**
      * Reconnect if needed, spending at most `remaining_ms` of the
@@ -132,6 +159,9 @@ class RetryingClient
      * fails fast instead of dialing at all.
      */
     bool ensureConnected(std::uint64_t remaining_ms, std::string &error);
+
+    /** The connected client for a control-plane call; fatal if none. */
+    ServeClient &control();
 
     std::string endpoint_;
     BackoffConfig config_;

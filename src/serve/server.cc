@@ -306,6 +306,27 @@ Server::eventLoop()
             drain_started_ = Clock::now();
         }
 
+        // ---- drain: flush what we owe, then leave. This runs before
+        // poll(): the iteration that saw the drain begin may already be
+        // past it, and an idle connection polls with no events, so a
+        // sweep after poll() would first sleep out drain_flush_ms.
+        if (draining) {
+            for (auto it = conns_.begin(); it != conns_.end();) {
+                Conn &conn = *it->second;
+                ++it;
+                if (!conn.busy && pending(conn) == 0)
+                    closeConn(conn);
+            }
+            if (conns_.empty())
+                break;
+            if (Clock::now() - drain_started_
+                >= std::chrono::milliseconds(opts_.drain_flush_ms)) {
+                warn("serve: drain flush budget exhausted; dropping ",
+                     conns_.size(), " connection(s)");
+                break;
+            }
+        }
+
         // ---- build the poll set
         const Clock::time_point now = Clock::now();
         std::vector<pollfd> fds;
@@ -454,24 +475,6 @@ Server::eventLoop()
                     idle_evicted_++;
                     closeConn(conn);
                 }
-            }
-        }
-
-        // ---- drain: flush what we owe, then leave
-        if (draining) {
-            for (auto it = conns_.begin(); it != conns_.end();) {
-                Conn &conn = *it->second;
-                ++it;
-                if (!conn.busy && pending(conn) == 0)
-                    closeConn(conn);
-            }
-            if (conns_.empty())
-                break;
-            if (Clock::now() - drain_started_
-                >= std::chrono::milliseconds(opts_.drain_flush_ms)) {
-                warn("serve: drain flush budget exhausted; dropping ",
-                     conns_.size(), " connection(s)");
-                break;
             }
         }
     }

@@ -42,7 +42,6 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,7 +51,7 @@
 #include "fault/fault.hh"
 #include "multicore/multicore_sim.hh"
 #include "serve/client.hh"
-#include "serve/connect.hh"
+#include "serve/retry.hh"
 #include "serve/coordinator.hh"
 #include "serve/server.hh"
 #include "sim/experiment.hh"
@@ -211,11 +210,7 @@ runClient(const std::string &endpoint, const SoakFlags &flags,
     backoff.deadline_ms = 20000;
     backoff.seed = Rng(flags.seed).fork(0x10000u + unsigned(client_id))
                        .next();
-    ClientOptions copts;
-    copts.endpoint = endpoint;
-    copts.retry = true;
-    copts.backoff = backoff;
-    const std::unique_ptr<Client> client = serve::connect(copts);
+    RetryingClient client(endpoint, backoff);
 
     Rng pick(Rng(flags.seed).fork(unsigned(client_id)).next());
     ClientTally tally;
@@ -228,7 +223,7 @@ runClient(const std::string &endpoint, const SoakFlags &flags,
         req.point.num_cores = point.num_cores;
         req.point.warmup_cycles = kWarmup;
         req.point.measure_cycles = kMeasure;
-        const PointReply reply = client->run(req);
+        const PointReply reply = client.run(req);
         if (reply.error == ServeError::None) {
             if (serializeRunResult(reply.result) == point.expected) {
                 tally.ok++;

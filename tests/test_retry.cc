@@ -5,8 +5,9 @@
  * and the decorrelated-jitter growth bound, the server retry-after hint
  * floors the sleep, and an exhausted deadline budget answers
  * immediately — no final pointless sleep. RetryingClient end-to-end
- * behaviour against an unreachable server is covered here; behaviour
- * under live injected faults is the chaos harness's job (tests/chaos).
+ * behaviour against an unreachable server is covered here, and so is
+ * the shared endpoint parser and dial (dialEndpoint); behaviour under
+ * live injected faults is the chaos harness's job (tests/chaos).
  */
 
 #include <gtest/gtest.h>
@@ -15,13 +16,16 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "serve/retry.hh"
 
 using namespace thermctl;
@@ -104,6 +108,73 @@ struct HungListener
         return "tcp:127.0.0.1:" + std::to_string(port);
     }
 };
+
+/** A live listener; connects complete in the kernel's accept queue. */
+struct Listener
+{
+    int fd = -1;
+    std::string endpoint;
+    std::string unix_path;
+
+    /** TCP on 127.0.0.1 (ephemeral port). */
+    Listener()
+    {
+        fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t len = sizeof(addr);
+        if (fd < 0
+            || ::bind(fd, reinterpret_cast<sockaddr *>(&addr), len) != 0
+            || ::listen(fd, 8) != 0
+            || ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr),
+                             &len)
+                   != 0)
+            return;
+        endpoint = "tcp:127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+    }
+
+    /** Unix socket at `path`. */
+    explicit Listener(const std::string &path) : unix_path(path)
+    {
+        ::unlink(path.c_str());
+        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+        if (fd < 0
+            || ::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr))
+                   != 0
+            || ::listen(fd, 8) != 0)
+            return;
+        endpoint = path;
+    }
+
+    ~Listener()
+    {
+        if (fd >= 0)
+            ::close(fd);
+        if (!unix_path.empty())
+            ::unlink(unix_path.c_str());
+    }
+
+    Listener(const Listener &) = delete;
+    Listener &operator=(const Listener &) = delete;
+};
+
+/** Dial and close; @return the error, empty on success. */
+std::string
+dialError(const std::string &endpoint, unsigned timeout_ms)
+{
+    std::string error;
+    const int fd = dialEndpoint(endpoint, timeout_ms, error);
+    if (fd >= 0) {
+        ::close(fd);
+        return "";
+    }
+    EXPECT_FALSE(error.empty()) << endpoint;
+    return error.empty() ? "failed without a message" : error;
+}
 
 } // namespace
 
@@ -344,4 +415,61 @@ TEST(RetryingClient, DialTimeoutIsCappedByRemainingDeadline)
         << reply.message;
     // Far below the nominal 5s connect timeout; generous CI slack.
     EXPECT_LT(wall.count(), 2000);
+}
+
+// ------------------------------------------------------ dialEndpoint
+
+TEST(DialEndpoint, MalformedEndpointsAreRejectedWithoutThrowing)
+{
+    const std::vector<std::string> malformed = {
+        "tcp:h:abc", "tcp:h",    "tcp:h:70000",
+        "tcp:h:0",   "tcp:h:80x", "unix:/" + std::string(200, 'p')};
+    for (const std::string &bad : malformed) {
+        std::string error;
+        int fd = -2;
+        EXPECT_NO_THROW(fd = dialEndpoint(bad, 100, error)) << bad;
+        EXPECT_EQ(fd, -1) << bad;
+        // Rejected by the parser, before any socket is dialed.
+        EXPECT_EQ(error.find("cannot connect"), std::string::npos)
+            << bad << ": " << error;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
+}
+
+TEST(DialEndpoint, AcceptsUnixBarePathAndTcpForms)
+{
+    const std::string path = "/tmp/tretry-" + std::to_string(::getpid())
+                             + ".sock";
+    Listener unix_listener(path);
+    ASSERT_FALSE(unix_listener.endpoint.empty());
+    EXPECT_EQ(dialError("unix:" + path, 1000), "");
+    EXPECT_EQ(dialError(path, 1000), "");
+
+    Listener tcp_listener;
+    ASSERT_FALSE(tcp_listener.endpoint.empty());
+    EXPECT_EQ(dialError(tcp_listener.endpoint, 1000), "");
+}
+
+TEST(DialEndpoint, ZeroTimeoutMeansNoBound)
+{
+    // Regression: a timeout of 0 used to arm a 0 ms deadline on a
+    // non-blocking connect, so every TCP dial "timed out after 0 ms".
+    Listener tcp_listener;
+    ASSERT_FALSE(tcp_listener.endpoint.empty());
+    EXPECT_EQ(dialError(tcp_listener.endpoint, 0), "");
+
+    std::string error;
+    ServeClient client =
+        ServeClient::tryConnect(tcp_listener.endpoint, 0, error);
+    EXPECT_TRUE(client.connected()) << error;
+}
+
+TEST(DialEndpoint, UnreachableEndpointNamesTheCause)
+{
+    const std::string error =
+        dialError("unix:/nonexistent/thermctl-test.sock", 0);
+    EXPECT_NE(error.find("cannot connect to unix:/nonexistent"),
+              std::string::npos)
+        << error;
+    EXPECT_THROW((void)ServeClient::connect("tcp:h:abc"), FatalError);
 }

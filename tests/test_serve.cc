@@ -25,7 +25,7 @@
 #include "common/logging.hh"
 #include "fault/fault.hh"
 #include "serve/client.hh"
-#include "serve/connect.hh"
+#include "serve/retry.hh"
 #include "serve/protocol.hh"
 #include "serve/scheduler.hh"
 #include "serve/server.hh"
@@ -620,7 +620,7 @@ TEST(ServeServer, ConcurrentClientsMatchDirectRunsBitExactly)
     clients.reserve(policies.size());
     for (std::size_t i = 0; i < policies.size(); ++i) {
         clients.emplace_back([&, i] {
-            ServeClient c = ServeClient::connectUnix(opts.unix_path);
+            ServeClient c = ServeClient::connect(opts.unix_path);
             RunRequest req;
             req.point = fastPoint("186.crafty", policies[i]);
             replies[i] = c.run(req);
@@ -662,7 +662,7 @@ TEST(ServeServer, DuplicateConcurrentRequestsCoalesce)
     std::vector<std::thread> clients;
     for (int i = 0; i < kDup; ++i) {
         clients.emplace_back([&, i] {
-            ServeClient c = ServeClient::connectUnix(opts.unix_path);
+            ServeClient c = ServeClient::connect(opts.unix_path);
             RunRequest req;
             req.point = fastPoint("179.art", "PI");
             replies[i] = c.run(req);
@@ -696,7 +696,7 @@ TEST(ServeServer, FullQueueAnswersOverloadedImmediately)
     server.scheduler().pauseDispatch();
     PointReply queued_reply;
     std::thread queued([&] {
-        ServeClient c = ServeClient::connectUnix(opts.unix_path);
+        ServeClient c = ServeClient::connect(opts.unix_path);
         RunRequest req;
         req.point = fastPoint("186.crafty");
         queued_reply = c.run(req);
@@ -705,7 +705,7 @@ TEST(ServeServer, FullQueueAnswersOverloadedImmediately)
         [&] { return server.scheduler().stats().submitted >= 1; }));
 
     // The queue slot is taken: a distinct point must bounce, not hang.
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest req;
     req.point = fastPoint("179.art");
     const PointReply rejected = c.run(req);
@@ -730,7 +730,7 @@ TEST(ServeServer, SweepBatchesAndAnswersInGridOrder)
     Server server(opts);
     server.start();
 
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     SweepRequest req;
     req.benchmarks = {"186.crafty", "179.art"};
     req.policies = {"none", "PI"};
@@ -776,7 +776,7 @@ TEST(ServeServer, UnknownNamesComeBackAsBadRequest)
     Server server(opts);
     server.start();
 
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest req;
     req.point = fastPoint("186.crafty", "warp-drive");
     const PointReply reply = c.run(req);
@@ -849,7 +849,7 @@ TEST(ServeServer, MalformedBytesGetTypedErrorThenCloseAndServerSurvives)
     }));
 
     // The event loop survived; a fresh connection is fully served.
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest req;
     req.point = fastPoint();
     EXPECT_EQ(c.run(req).error, ServeError::None);
@@ -903,7 +903,7 @@ TEST(ServeServer, PeerHangupDuringExecutionDropsReplyAndCloses)
     }));
 
     // The server stays healthy for new clients.
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest ok;
     ok.point = fastPoint("179.art");
     EXPECT_EQ(c.run(ok).error, ServeError::None);
@@ -985,7 +985,7 @@ TEST(ServeServer, ShortWritesAndInterruptedReadsStillDeliverExactly)
     fault::FaultInjector::instance().arm(fault::FaultPlan::parse(
         "serve.sock.write=short;serve.sock.read=eintr:every=3"));
 
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest req;
     req.point = fastPoint("186.crafty", "PI");
     const PointReply reply = c.run(req);
@@ -1010,7 +1010,7 @@ TEST(ServeServer, AbortedConnectionComesBackAsTypedTransport)
     Server server(opts);
     server.start();
 
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     // The server aborts its first read of the request: the client sees
     // a broken connection — a typed Transport reply, not process death.
     fault::FaultInjector::instance().arm(
@@ -1022,7 +1022,7 @@ TEST(ServeServer, AbortedConnectionComesBackAsTypedTransport)
     EXPECT_EQ(broken.error, ServeError::Transport);
 
     // A fresh connection works again (the server survived the abort).
-    ServeClient c2 = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c2 = ServeClient::connect(opts.unix_path);
     EXPECT_EQ(c2.run(req).error, ServeError::None);
     server.shutdown();
 }
@@ -1038,7 +1038,7 @@ TEST(ServeServer, DrainCompletesInflightThenRefusesNewWork)
     server.scheduler().pauseDispatch();
     PointReply inflight_reply;
     std::thread inflight([&] {
-        ServeClient c = ServeClient::connectUnix(opts.unix_path);
+        ServeClient c = ServeClient::connect(opts.unix_path);
         RunRequest req;
         req.point = fastPoint("186.crafty", "PI");
         inflight_reply = c.run(req);
@@ -1047,7 +1047,7 @@ TEST(ServeServer, DrainCompletesInflightThenRefusesNewWork)
         [&] { return server.scheduler().stats().submitted >= 1; }));
 
     {
-        ServeClient c = ServeClient::connectUnix(opts.unix_path);
+        ServeClient c = ServeClient::connect(opts.unix_path);
         EXPECT_FALSE(c.drain()); // first drain request
     }
     ASSERT_TRUE(waitFor([&] { return server.drainRequested(); }));
@@ -1277,7 +1277,7 @@ TEST(ServeServer, IdleConnectionsAreEvictedOnTimeout)
     Server server(opts);
     server.start();
 
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest req;
     req.point = fastPoint("186.crafty", "none");
     ASSERT_EQ(c.run(req).error, ServeError::None);
@@ -1290,7 +1290,7 @@ TEST(ServeServer, IdleConnectionsAreEvictedOnTimeout)
     // The evicted socket is dead for the client...
     EXPECT_EQ(c.run(req).error, ServeError::Transport);
     // ...and a fresh connection works (eviction, not shutdown).
-    ServeClient c2 = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c2 = ServeClient::connect(opts.unix_path);
     EXPECT_EQ(c2.run(req).error, ServeError::None);
     server.shutdown();
 }
@@ -1318,48 +1318,109 @@ TEST(ServeOptions, SchedulerSliceCarriesEveryKnob)
     EXPECT_EQ(sched.sweep.jobs, 3u);
 }
 
-TEST(ServeConnect, FactoryServesDataAndControlPlanesAlike)
+TEST(RetryingClient, ServesDataAndControlPlanesAlike)
 {
     const ServerOptions opts = fastServerOptions(13);
     Server server(opts);
     server.start();
 
-    ClientOptions copts;
-    copts.endpoint = "unix:" + opts.unix_path;
-    copts.retry = false;
-    const std::unique_ptr<Client> client = serve::connect(copts);
+    BackoffConfig backoff;
+    backoff.max_attempts = 1;
+    RetryingClient client("unix:" + opts.unix_path, backoff);
 
     RunRequest req;
     req.point = fastPoint("186.crafty", "PI");
-    const PointReply viaFactory = client->run(req);
-    ASSERT_EQ(viaFactory.error, ServeError::None) << viaFactory.message;
+    const PointReply viaRetrying = client.run(req);
+    ASSERT_EQ(viaRetrying.error, ServeError::None) << viaRetrying.message;
 
-    ServeClient direct = ServeClient::connectUnix(opts.unix_path);
+    ServeClient direct = ServeClient::connect(opts.unix_path);
     const PointReply viaDirect = direct.run(req);
     ASSERT_EQ(viaDirect.error, ServeError::None);
-    expectSameResult(viaFactory.result, viaDirect.result);
+    expectSameResult(viaRetrying.result, viaDirect.result);
 
-    const StatsReply stats = client->stats();
+    CacheQueryRequest query;
+    query.point = req.point;
+    EXPECT_FALSE(client.cacheQuery(query).cached); // cache is off
+    const StatsReply stats = client.stats();
     EXPECT_GE(stats.run_requests, 2u);
-    EXPECT_EQ(client->attemptsTotal(), 1u);
+    EXPECT_EQ(client.attemptsTotal(), 1u);
+    EXPECT_FALSE(client.drain());
     server.shutdown();
 }
 
-TEST(ServeConnect, NoRetryFactoryReportsTransportWithoutSleeping)
+TEST(RetryingClient, SingleAttemptReportsTransportWithoutSleeping)
 {
-    ClientOptions copts;
-    copts.endpoint = "unix:/nonexistent/thermctl-test.sock";
-    copts.retry = false;
-    const std::unique_ptr<Client> client = serve::connect(copts);
+    BackoffConfig backoff;
+    backoff.max_attempts = 1;
+    RetryingClient client("unix:/nonexistent/thermctl-test.sock", backoff);
 
     const auto t0 = std::chrono::steady_clock::now();
     RunRequest req;
     req.point = fastPoint();
-    const PointReply reply = client->run(req);
+    const PointReply reply = client.run(req);
     const auto elapsed = std::chrono::steady_clock::now() - t0;
     EXPECT_EQ(reply.error, ServeError::Transport);
     EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 1.0);
-    EXPECT_EQ(client->attemptsTotal(), 1u);
+    EXPECT_EQ(client.attemptsTotal(), 1u);
+
+    // The control plane is strict: no retry, a connect failure throws.
+    EXPECT_THROW((void)client.stats(), FatalError);
+    EXPECT_EQ(client.attemptsTotal(), 1u);
+}
+
+TEST(ServeServer, TcpRoundTripMatchesUnixSocket)
+{
+    ServerOptions opts = fastServerOptions(18);
+    opts.tcp = true;
+    opts.tcp_port = 0;
+    Server server(opts);
+    server.start();
+    ASSERT_GT(server.tcpPort(), 0);
+
+    ServeClient tcp = ServeClient::connect(
+        "tcp:127.0.0.1:" + std::to_string(server.tcpPort()));
+    ServeClient unix_client = ServeClient::connect(opts.unix_path);
+    RunRequest req;
+    req.point = fastPoint("176.gcc", "PID");
+    const PointReply viaTcp = tcp.run(req);
+    const PointReply viaUnix = unix_client.run(req);
+    ASSERT_EQ(viaTcp.error, ServeError::None) << viaTcp.message;
+    ASSERT_EQ(viaUnix.error, ServeError::None) << viaUnix.message;
+    EXPECT_EQ(serializeRunResult(viaTcp.result),
+              serializeRunResult(viaUnix.result));
+
+    PingReply pong;
+    std::string error;
+    ASSERT_TRUE(tcp.ping(pong, error)) << error;
+    EXPECT_EQ(pong.version, kWireVersion);
+    EXPECT_FALSE(pong.draining);
+    server.shutdown();
+}
+
+TEST(ServeServer, ShutdownWithIdleClientDoesNotWaitOutFlushBudget)
+{
+    // Regression: the drain sweep ran only after poll(), and an idle
+    // connection polls with no events during drain, so shutdown() slept
+    // the whole drain_flush_ms before closing it.
+    ServerOptions opts = fastServerOptions(19);
+    opts.drain_flush_ms = 5000;
+    Server server(opts);
+    server.start();
+
+    ServeClient idle = ServeClient::connect(opts.unix_path);
+    PingReply pong;
+    std::string error;
+    ASSERT_TRUE(idle.ping(pong, error)) << error; // accepted and idle
+    // Let the event loop park in poll(): a drain that begins while it
+    // sleeps there is the case that used to stall.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    server.shutdown();
+    const double took = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_LT(took, 1.0);
 }
 
 // ------------------------------------------------------- ping (wire v4)
@@ -1423,7 +1484,7 @@ TEST(ServeServer, PingReportsVersionDrainAndQueueDepth)
     Server server(opts);
     server.start();
 
-    ServeClient client = ServeClient::connectUnix(opts.unix_path);
+    ServeClient client = ServeClient::connect(opts.unix_path);
     PingReply pong;
     std::string error;
     ASSERT_TRUE(client.ping(pong, error)) << error;
@@ -1436,7 +1497,7 @@ TEST(ServeServer, PingReportsVersionDrainAndQueueDepth)
     // answer from connection threads, not scheduler workers).
     server.scheduler().pauseDispatch();
     std::thread parked([&] {
-        ServeClient c = ServeClient::connectUnix(opts.unix_path);
+        ServeClient c = ServeClient::connect(opts.unix_path);
         RunRequest req;
         req.point = fastPoint("179.art", "PI");
         (void)c.run(req);
@@ -1452,7 +1513,7 @@ TEST(ServeServer, PingReportsVersionDrainAndQueueDepth)
     // connections, so a probe fails fast with a transport error rather
     // than hanging — exactly the signal a coordinator quarantines on.
     {
-        ServeClient c = ServeClient::connectUnix(opts.unix_path);
+        ServeClient c = ServeClient::connect(opts.unix_path);
         (void)c.drain();
     }
     ASSERT_TRUE(waitFor([&] { return server.drainRequested(); }));
@@ -1476,7 +1537,7 @@ TEST(ServeServer, SweepCarriesMulticoreKnobsToEveryPoint)
     spec.chip_budget = 45.0;
     spec.budget_policy = 1; // demand-proportional
 
-    ServeClient client = ServeClient::connectUnix(opts.unix_path);
+    ServeClient client = ServeClient::connect(opts.unix_path);
     RunRequest run_req;
     run_req.point = spec;
     const PointReply via_run = client.run(run_req);

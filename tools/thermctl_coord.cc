@@ -19,7 +19,8 @@
  *     --budget-policy P   uniform|demand|headroom
  *     --lease-ms N        per-point lease (request deadline + receive
  *                         timeout; default 20000)
- *     --connect-timeout-ms N  bound per connect attempt (default 1000)
+ *     --connect-timeout-ms N  bound per connect attempt (default 1000;
+ *                         0 = no bound)
  *     --probe-interval-ms N   health probe cadence (default 200)
  *     --quarantine-ms N   quarantine window for failed workers
  *     --unhealthy-after N consecutive failures before demotion
