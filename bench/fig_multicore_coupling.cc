@@ -18,20 +18,17 @@
  * count.
  *
  * The sweep itself runs through the cached SweepEngine like every other
- * figure. A separate uncached, timed stepping loop measures raw engine
- * throughput (nominal cycles/second at each core count) and writes it
- * to a machine-readable JSON report (--json PATH, default
- * BENCH_sim.json) so CI can track simulator performance.
+ * figure. A separate uncached, timed stepping loop prints raw engine
+ * throughput (nominal cycles/second at each core count); perfbench/'s
+ * chip16 workload is the tracked measurement of the same path.
  */
 
 #include <chrono>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "common/table.hh"
 #include "multicore/multicore_sim.hh"
 #include "workload/spec_profiles.hh"
@@ -43,16 +40,8 @@ namespace
 
 constexpr std::uint32_t kCoreCounts[] = {1, 2, 4, 8, 16};
 
-/** One timed, uncached stepping measurement at a given core count. */
-struct StepRate
-{
-    std::uint32_t cores = 0;
-    std::uint64_t cycles = 0;
-    double seconds = 0.0;
-    double cycles_per_sec = 0.0;
-};
-
-StepRate
+/** @return nominal cycles per second of one timed, uncached run. */
+double
 timeStepping(std::uint32_t cores, std::uint64_t cycles)
 {
     SimConfig cfg;
@@ -68,32 +57,7 @@ timeStepping(std::uint32_t cores, std::uint64_t cycles)
         std::chrono::duration<double>(std::chrono::steady_clock::now()
                                       - start)
             .count();
-
-    StepRate r;
-    r.cores = cores;
-    r.cycles = cycles;
-    r.seconds = secs;
-    r.cycles_per_sec =
-        secs > 0.0 ? static_cast<double>(cycles) / secs : 0.0;
-    return r;
-}
-
-void
-writeJson(const std::string &path, const std::vector<StepRate> &rates)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open ", path);
-    out << "{\n  \"benchmark\": \"multicore_stepping\",\n  \"rates\": [\n";
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-        const StepRate &r = rates[i];
-        out << "    {\"cores\": " << r.cores
-            << ", \"nominal_cycles\": " << r.cycles
-            << ", \"seconds\": " << r.seconds
-            << ", \"cycles_per_sec\": " << r.cycles_per_sec << "}"
-            << (i + 1 < rates.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
+    return secs > 0.0 ? static_cast<double>(cycles) / secs : 0.0;
 }
 
 } // namespace
@@ -101,23 +65,8 @@ writeJson(const std::string &path, const std::vector<StepRate> &rates)
 int
 main(int argc, char **argv)
 {
-    // The shared flags go to the Session; --json is ours.
-    std::string json_path = "BENCH_sim.json";
-    std::vector<char *> passthrough;
-    passthrough.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json") {
-            if (i + 1 >= argc)
-                fatal("missing value for --json");
-            json_path = argv[++i];
-        } else {
-            passthrough.push_back(argv[i]);
-        }
-    }
-
-    multicore::ensureBackendRegistered();
     bench::Session session(
-        static_cast<int>(passthrough.size()), passthrough.data(),
+        argc, argv,
         "Figure: multicore scaling and inter-core coupling",
         "extension (multicore thermal RC network; DESIGN.md section 15)");
 
@@ -172,18 +121,12 @@ main(int argc, char **argv)
     const char *fast = std::getenv("THERMCTL_FAST");
     const std::uint64_t cycles =
         (fast && fast[0] == '1') ? 20000 : 200000;
-    std::vector<StepRate> rates;
-    for (std::uint32_t cores : kCoreCounts)
-        rates.push_back(timeStepping(cores, cycles));
-    writeJson(json_path, rates);
-
     std::cout << "\nengine stepping rate (uncached, " << cycles
               << " nominal cycles each):\n";
-    for (const StepRate &r : rates) {
-        std::cout << "  " << r.cores << " cores: "
-                  << formatDouble(r.cycles_per_sec / 1e6, 2)
+    for (std::uint32_t cores : kCoreCounts) {
+        std::cout << "  " << cores << " cores: "
+                  << formatDouble(timeStepping(cores, cycles) / 1e6, 2)
                   << " Mcycles/s\n";
     }
-    std::cout << "wrote " << json_path << "\n";
     return 0;
 }

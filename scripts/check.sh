@@ -18,6 +18,11 @@
 #                  committed baseline (.thermctl-analyze-allow); one
 #                  invocation over the whole tree so cross-file edges
 #                  are visible
+#   perfbench-build
+#                  configure and build perfbench/ standalone (the
+#                  repository benchmark compiles the libraries from src/
+#                  itself) and run perfbench_tests; the benchmark is
+#                  not run
 #   thread-safety  compile with Clang Thread Safety Analysis as errors
 #                  (THERMCTL_THREAD_SAFETY=ON; skipped when clang++ is
 #                  absent)
@@ -75,7 +80,7 @@ cd "${repo_root}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 base="build-check"
 
-all_stages="format plain lint analyze thread-safety asan serve multicore loadgen-smoke chaos-smoke cluster-smoke tsan fuzz-replay tidy"
+all_stages="format plain lint analyze perfbench-build thread-safety asan serve multicore loadgen-smoke chaos-smoke cluster-smoke tsan fuzz-replay tidy"
 selected="all"
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -142,6 +147,13 @@ if want analyze; then
         --layers .thermctl-layers --allowlist .thermctl-analyze-allow \
         --exclude tests/analyze/fixtures \
         src/ tools/ tests/ bench/ examples/
+fi
+
+if want perfbench-build; then
+    stage "perfbench build (standalone perfbench/ + perfbench_tests)"
+    cmake -B "${base}/perfbench" -S perfbench
+    cmake --build "${base}/perfbench" -j "${jobs}"
+    "${base}/perfbench/perfbench_tests"
 fi
 
 if want thread-safety; then

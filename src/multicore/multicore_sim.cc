@@ -6,29 +6,13 @@
 #include "check/invariants.hh"
 #include "common/logging.hh"
 #include "sim/policy_factory.hh"
-#include "workload/trace.hh"
+#include "sim/simulator.hh"
 
 namespace thermctl::multicore
 {
 
 namespace
 {
-
-/** Instruction source for one core: trace or seed-offset synthetic. */
-std::unique_ptr<InstructionStream>
-makeStream(const SimConfig &cfg, std::size_t core_index)
-{
-    if (!cfg.trace_path.empty()) {
-        return std::make_unique<TraceReader>(cfg.trace_path,
-                                             cfg.trace_loop);
-    }
-    // Offset the workload seed per core so cores run decorrelated
-    // instances of the same profile (identical seeds would phase-lock
-    // every core's activity and defeat the budget-contention scenarios).
-    WorkloadProfile profile = cfg.workload;
-    profile.seed += core_index;
-    return std::make_unique<SyntheticWorkload>(profile);
-}
 
 /** Build one core's controller for the configured policy kind. */
 std::unique_ptr<CoreController>
@@ -100,7 +84,7 @@ MulticoreSimulator::MulticoreSimulator(const SimConfig &cfg)
     for (std::size_t c = 0; c < n; ++c) {
         auto unit = std::make_unique<CoreUnit>(mc.dvfs_levels,
                                                mc.dvfs_min_scale);
-        unit->workload = makeStream(cfg, c);
+        unit->workload = makeInstructionStream(cfg, c);
         unit->memory = std::make_unique<MemoryHierarchy>(cfg.memory);
         unit->core = std::make_unique<Core>(cfg.cpu, *unit->workload,
                                             *unit->memory);
@@ -375,12 +359,6 @@ runMulticoreOne(const SimConfig &cfg, const RunProtocol &proto)
             : 0.0;
     }
     return r;
-}
-
-void
-ensureBackendRegistered()
-{
-    registerMulticoreBackend(&runMulticoreOne);
 }
 
 } // namespace thermctl::multicore

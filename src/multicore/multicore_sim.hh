@@ -139,19 +139,16 @@ class MulticoreSimulator
 };
 
 /**
- * The engine backend: run one multicore config under the standard
- * warm-up/measure protocol and aggregate chip metrics into the
- * single-core RunResult shape (per-structure details are means/maxima
- * across cores; powers are chip totals).
+ * Run one multicore config under the standard warm-up/measure protocol
+ * and aggregate chip metrics into the single-core RunResult shape
+ * (per-structure details are means/maxima across cores; powers are chip
+ * totals). ExperimentRunner::runOne calls this for every config that
+ * needsMulticoreEngine().
  */
 RunResult runMulticoreOne(const SimConfig &cfg, const RunProtocol &proto);
 
-/**
- * Install runMulticoreOne as the engine's multicore backend.
- * Idempotent; every entry point that may see multicore configs calls
- * this at startup (tool mains, Scheduler, benches, tests).
- */
-void ensureBackendRegistered();
+/** No-op kept only for perfbench/, its one remaining caller. */
+inline void ensureBackendRegistered() {}
 
 } // namespace thermctl::multicore
 

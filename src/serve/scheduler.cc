@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/mutex.hh"
 #include "fault/fault.hh"
-#include "multicore/multicore_sim.hh"
 #include "sim/policy_factory.hh"
 #include "workload/spec_profiles.hh"
 
@@ -112,9 +111,6 @@ Scheduler::Scheduler(const Options &opts)
     : opts_(opts), engine_(opts.sweep),
       latency_hist_ms_(0.0, 60000.0, 6000)
 {
-    // Any admitted point may carry multicore knobs; make sure the
-    // engine can dispatch them before the first dispatcher starts.
-    multicore::ensureBackendRegistered();
     const unsigned n = std::max(1u, opts_.dispatchers);
     dispatchers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)

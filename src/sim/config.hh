@@ -127,7 +127,7 @@ inline constexpr std::uint32_t kMaxCores = 64;
  * Multicore chip configuration (src/multicore). The defaults describe a
  * single-core chip, which runs through the classic single-core engine;
  * num_cores > 1 (or a multicore policy kind) selects the multicore
- * engine backend.
+ * engine.
  */
 struct MulticoreConfig
 {

@@ -1,31 +1,10 @@
 #include "sim/experiment.hh"
 
-#include <atomic>
-
-#include "common/logging.hh"
+#include "multicore/multicore_sim.hh"
 #include "sim/sweep.hh"
 
 namespace thermctl
 {
-
-namespace
-{
-
-std::atomic<MulticoreRunFn> g_multicore_backend{nullptr};
-
-} // namespace
-
-void
-registerMulticoreBackend(MulticoreRunFn fn)
-{
-    g_multicore_backend.store(fn, std::memory_order_release);
-}
-
-bool
-multicoreBackendRegistered()
-{
-    return g_multicore_backend.load(std::memory_order_acquire) != nullptr;
-}
 
 bool
 needsMulticoreEngine(const SimConfig &cfg)
@@ -48,26 +27,23 @@ ExperimentRunner::runOne(const WorkloadProfile &profile,
     cfg.workload = profile;
     cfg.policy = policy;
 
-    if (needsMulticoreEngine(cfg)) {
-        const MulticoreRunFn fn =
-            g_multicore_backend.load(std::memory_order_acquire);
-        if (!fn) {
-            fatal("multicore config (num_cores=", cfg.multicore.num_cores,
-                  ", policy=", dtmPolicyKindName(cfg.policy.kind),
-                  ") but no multicore backend registered; call "
-                  "multicore::ensureBackendRegistered() at startup");
-        }
-        return fn(cfg, protocol_);
-    }
+    if (needsMulticoreEngine(cfg))
+        return multicore::runMulticoreOne(cfg, protocol_);
 
     Simulator sim(cfg);
     sim.warmUp(protocol_.warmup_cycles);
     sim.run(protocol_.measure_cycles);
+    return runResultOf(sim);
+}
 
+RunResult
+runResultOf(const Simulator &sim)
+{
+    const SimConfig &cfg = sim.config();
     RunResult result;
-    result.benchmark = profile.name;
-    result.policy = dtmPolicyKindName(policy.kind);
-    result.category = profile.category;
+    result.benchmark = cfg.workload.name;
+    result.policy = dtmPolicyKindName(cfg.policy.kind);
+    result.category = cfg.workload.category;
     // Wall-time-normalized performance: equals IPC except under
     // frequency scaling, which must be charged for its slower clock.
     result.ipc = sim.measuredPerformance();

@@ -61,26 +61,17 @@ struct RunResult
 };
 
 /**
- * Multicore engine backend hook. The engine layer cannot include
- * src/multicore (it sits above engine in .thermctl-layers), so the
- * multicore subsystem registers its run function here at startup and
- * ExperimentRunner::runOne dispatches multicore configs to it. Entry
- * points that may see multicore configs call
- * multicore::ensureBackendRegistered() explicitly (static initializers
- * in a static archive are dead-stripped).
+ * The RunResult of a finished single-core run: metrics over the
+ * measurement window (since resetMeasurement), labelled with the
+ * configured workload and policy.
  */
-using MulticoreRunFn = RunResult (*)(const SimConfig &,
-                                     const RunProtocol &);
-
-/** Install the multicore backend (idempotent; last writer wins). */
-void registerMulticoreBackend(MulticoreRunFn fn);
-
-/** @return true once a multicore backend has been registered. */
-bool multicoreBackendRegistered();
+RunResult runResultOf(const Simulator &sim);
 
 /**
  * @return true when `cfg` needs the multicore engine: more than one
  * core, or a policy kind only the multicore engine implements.
+ * ExperimentRunner::runOne sends such configs to
+ * multicore::runMulticoreOne.
  */
 bool needsMulticoreEngine(const SimConfig &cfg);
 

@@ -41,7 +41,7 @@ bool parseBudgetPolicy(const std::string &name, BudgetPolicy &out);
 /**
  * @return true for the policy kinds that only run inside the multicore
  * engine (PerCorePid, AdjIntegral). makeDtmPolicy panics on them; the
- * experiment runner dispatches such configs to the multicore backend.
+ * experiment runner dispatches such configs to the multicore engine.
  */
 bool isMulticorePolicy(DtmPolicyKind kind);
 

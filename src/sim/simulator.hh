@@ -66,6 +66,14 @@ struct SimulatorStats
     }
 };
 
+/**
+ * Build the instruction source of core `core_index`: the recorded trace
+ * when `cfg.trace_path` is set, else the workload generator with its
+ * seed offset by the core index (core 0 runs the profile's own seed).
+ */
+std::unique_ptr<InstructionStream>
+makeInstructionStream(const SimConfig &cfg, std::size_t core_index = 0);
+
 /** One fully wired simulation instance. */
 class Simulator
 {

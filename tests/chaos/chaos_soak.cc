@@ -49,7 +49,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "fault/fault.hh"
-#include "multicore/multicore_sim.hh"
 #include "serve/client.hh"
 #include "serve/retry.hh"
 #include "serve/coordinator.hh"
@@ -174,10 +173,9 @@ precomputeExpected()
     }
 
     // Multicore points so the soak covers the wire-v3 knobs and the
-    // multicore engine backend end to end (faulted transport, cache,
-    // scheduler). Direct runs dispatch through the same backend the
+    // multicore engine end to end (faulted transport, cache,
+    // scheduler). Direct runs dispatch through the same runOne the
     // server uses.
-    multicore::ensureBackendRegistered();
     for (const char *policy : {"percore-PID", "adj-integral"}) {
         SimConfig cfg;
         if (!parseDtmPolicyKind(policy, cfg.policy.kind))

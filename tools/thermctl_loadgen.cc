@@ -27,8 +27,7 @@
  *                        microseconds (default 0)
  *     --max-wait-ms N    grace for outstanding replies after the last
  *                        arrival (default 10000)
- *     --json PATH        benchmark record ("" = none; default
- *                        BENCH_serve.json)
+ *     --json PATH        write a JSON benchmark record (default none)
  *
  * Methodology (after the mutated load generator): arrivals are OPEN
  * LOOP — request i is due at a precomputed, seeded exponential arrival
@@ -294,7 +293,7 @@ main(int argc, char **argv)
     knobs.measure_cycles = 10000;
     std::uint64_t fake_work_us = 0;
     std::uint64_t max_wait_ms = 10000;
-    std::string json_path = "BENCH_serve.json";
+    std::string json_path;
 
     try {
         for (int i = 1; i < argc; ++i) {

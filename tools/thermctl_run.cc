@@ -44,7 +44,6 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "multicore/multicore_sim.hh"
 #include "sim/policy_factory.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
@@ -231,7 +230,6 @@ main(int argc, char **argv)
     }
 
     try {
-        multicore::ensureBackendRegistered();
         if (benches.empty())
             benches = {"186.crafty"};
         if (policies.empty())
@@ -287,20 +285,9 @@ main(int argc, char **argv)
             sim.warmUp(warmup);
             sim.run(cycles);
 
-            const auto &dtm = sim.dtm().stats();
-            RunResult r;
-            r.benchmark = cfg.trace_path.empty() ? cfg.workload.name
-                                                 : cfg.trace_path;
-            r.policy = dtmPolicyKindName(cfg.policy.kind);
-            r.ipc = sim.measuredPerformance();
-            r.raw_ipc = sim.measuredIpc();
-            r.avg_power = sim.stats().avgPower();
-            r.max_temperature = dtm.max_temperature;
-            r.emergency_fraction = dtm.emergencyFraction();
-            r.stress_fraction = dtm.stressFraction();
-            r.mean_duty = dtm.samples
-                ? dtm.duty_sum / double(dtm.samples)
-                : 1.0;
+            RunResult r = runResultOf(sim);
+            if (!cfg.trace_path.empty())
+                r.benchmark = cfg.trace_path;
             printResult(r, cycles);
             if (!csv_path.empty())
                 appendCsv(csv_path, r, cycles);
